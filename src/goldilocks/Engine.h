@@ -43,6 +43,10 @@
 ///    variable (the algorithm requires this) and remains the lock under
 ///    which Info records are mutated, including by the collector's
 ///    partially-eager advance.
+///  * The rest of the access path writes no line other threads share:
+///    variable and thread states are found by lock-free probes of
+///    grow-only indexes, and statistics go to per-thread stat shards
+///    (DESIGN.md §19).
 ///
 /// Deviation from Figure 8 noted for reviewers: Figure 8 line 6 refreshes
 /// info.alock with a random lock held by the previous owner after a
@@ -59,6 +63,7 @@
 #include "goldilocks/Health.h"
 #include "goldilocks/Race.h"
 #include "goldilocks/Rules.h"
+#include "support/GrowOnlyIndex.h"
 #include "support/Slab.h"
 #include "support/Telemetry.h"
 
@@ -216,39 +221,48 @@ struct EngineConfig {
   uint64_t SamplingSeed = 0x9E3779B97F4A7C15ull;
 };
 
-/// Monotonic event counters, readable while the engine runs.
+/// The engine's stat table: one row per monotonic counter, in artifact
+/// order, as X(EngineStats field, "json_key"). This one list generates the
+/// EngineStats fields, the engine's per-thread stat shards, stats(), the
+/// counter names of telemetry(), bench/BenchJson.h's jsonEngineStats and
+/// (through GOLD_ENGINE_TIER_STATS, Health.h) the health and service sums.
+#define GOLD_ENGINE_STATS(X)                                                  \
+  X(Accesses, "accesses")             /* data accesses presented */           \
+  X(PairChecks, "pair_checks")        /* Check-Happens-Before invocations */  \
+  X(Sc1Xact, "sc1_xact")              /* resolved: both transactional */      \
+  X(Sc2SameThread, "sc2_same_thread") /* resolved: same owner */              \
+  X(Sc3ALock, "sc3_alock")            /* resolved: common lock held */        \
+  X(FilteredWalks, "filtered_walks")  /* resolved by the filtered walk */     \
+  X(FullWalks, "full_walks")          /* full lockset computations */         \
+  X(CellsWalked, "cells_walked")      /* cells visited across all walks */    \
+  X(CellsAllocated, "cells_allocated")                                        \
+  X(CellsFreed, "cells_freed")                                                \
+  X(GcRuns, "gc_runs")                                                        \
+  X(EagerAdvances, "eager_advances")  /* Infos advanced partially-eagerly */  \
+  X(Races, "races")                                                           \
+  X(SkippedDisabled, "skipped_disabled") /* accesses on disabled vars */      \
+  X(SyncEvents, "sync_events")        /* cells appended */                    \
+  X(Commits, "commits")                                                       \
+  X(DegradationEvents, "degradation_events") /* governor rungs fired */       \
+  X(DegradedVars, "degraded_vars")    /* variables disabled by governor */    \
+  X(ForcedGcs, "forced_gcs")          /* collections forced by caps / OOM */  \
+  X(AppendRetries, "append_retries")  /* tail-CAS retries (contention) */     \
+  X(GraceWaits, "grace_waits")        /* epoch grace periods completed */     \
+  X(GraceTimeouts, "grace_timeouts")  /* grace periods past the deadline */   \
+  X(CellsQuarantined, "cells_quarantined") /* cells deferred to quarantine */ \
+  X(ReclaimedDeadSlots, "reclaimed_dead_slots") /* slots of dead threads */   \
+  X(ThreadsRegistered, "threads_registered")     /* on new threads */         \
+  X(ThreadsDeregistered, "threads_deregistered") /* on live threads */        \
+  X(SlotFallbacks, "slot_fallbacks")  /* read sections on fallback mutex */   \
+  X(BatchPublishes, "batch_publishes") /* batched tail appends */             \
+  GOLD_ENGINE_TIER_STATS(X)
+
+/// Monotonic event counters, readable while the engine runs (see
+/// GOLD_ENGINE_STATS for what each counts).
 struct EngineStats {
-  uint64_t Accesses = 0;         ///< data accesses presented to the engine
-  uint64_t PairChecks = 0;       ///< Check-Happens-Before invocations
-  uint64_t Sc1Xact = 0;          ///< resolved: both transactional
-  uint64_t Sc2SameThread = 0;    ///< resolved: same owner
-  uint64_t Sc3ALock = 0;         ///< resolved: common lock held
-  uint64_t FilteredWalks = 0;    ///< resolved by the thread-filtered walk
-  uint64_t FullWalks = 0;        ///< full lockset computations performed
-  uint64_t CellsWalked = 0;      ///< cells visited across all walks
-  uint64_t CellsAllocated = 0;
-  uint64_t CellsFreed = 0;
-  uint64_t GcRuns = 0;
-  uint64_t EagerAdvances = 0;    ///< Info records advanced partially-eagerly
-  uint64_t Races = 0;
-  uint64_t SkippedDisabled = 0;  ///< accesses skipped on disabled variables
-  uint64_t SyncEvents = 0;       ///< cells appended
-  uint64_t Commits = 0;
-  uint64_t DegradationEvents = 0; ///< governor ladder rungs fired
-  uint64_t DegradedVars = 0;      ///< variables disabled by the governor
-  uint64_t ForcedGcs = 0;         ///< collections forced by caps / OOM
-  uint64_t AppendRetries = 0;     ///< tail-CAS retries (append contention)
-  uint64_t GraceWaits = 0;        ///< epoch grace periods completed by GC
-  uint64_t GraceTimeouts = 0;     ///< grace periods that hit their deadline
-  uint64_t CellsQuarantined = 0;  ///< cells ever deferred to the quarantine
-  uint64_t ReclaimedDeadSlots = 0;///< epoch slots recycled from dead threads
-  uint64_t ThreadsRegistered = 0; ///< registerThread() on new threads
-  uint64_t ThreadsDeregistered = 0;///< deregisterThread() on live threads
-  uint64_t SlotFallbacks = 0;     ///< read sections on the fallback mutex
-  uint64_t BatchPublishes = 0;    ///< batched tail appends (>= 1 cell each)
-  uint64_t TierFiltered = 0;      ///< pair checks skipped by the tier-0 proof
-  uint64_t Escalations = 0;       ///< variables escalated tier 0 -> precise
-  uint64_t SampledSkips = 0;      ///< accesses skipped by the sampling tier
+#define X(Field, Key) uint64_t Field = 0;
+  GOLD_ENGINE_STATS(X)
+#undef X
 
   /// Fraction of happens-before pair checks resolved by the *constant-time*
   /// short circuits (the paper's Table 1 metric); the rest required lockset
@@ -411,6 +425,16 @@ private:
   struct ThreadState;
   struct Shard;
   struct QuarantineBatch;
+  struct StatShard;
+  /// Index keys: a variable's packed VarId, a thread's id.
+  struct VarKeyOf {
+    uint64_t operator()(const VarState &St) const;
+  };
+  struct ThreadKeyOf {
+    uint64_t operator()(const ThreadState &TS) const;
+  };
+  using VarIndex = GrowOnlyIndex<VarState, VarKeyOf>;
+  using ThreadIndex = GrowOnlyIndex<ThreadState, ThreadKeyOf>;
   class ReadGuard;
   friend class ReadGuard;
 
@@ -425,7 +449,7 @@ private:
   /// inside the caller's epoch section. accessImpl catches bad_alloc.
   /// \p TS is the access's thread-state cache (may enter null for a
   /// first-seen thread); every thread-state read in the check goes through
-  /// it so the ThreadsMu lookup is paid at most once per access.
+  /// it so the thread index is probed at most once per access.
   std::optional<RaceReport> accessLocked(ThreadId T, ThreadState *TS, VarId V,
                                          bool IsWrite, bool Xact,
                                          Cell *PosOverride,
@@ -510,14 +534,34 @@ private:
   /// both directions (see DESIGN.md §12). Must not be called inside an
   /// epoch section.
   void flushPending(ThreadId T);
+  /// Finds or creates \p V's state. The hit is a lock-free probe, so the
+  /// caller must be inside an epoch section (superseded index arrays are
+  /// freed after a grace period); a miss inserts under the shard mutex.
   VarState &varState(VarId V);
+  /// Finds or creates \p T's state: a lock-free probe, then ThreadsMu on a
+  /// miss. Callable anywhere (thread index arrays live until teardown).
   ThreadState &threadState(ThreadId T);
   /// Lookup without creation (deregistration must not allocate).
   ThreadState *findThreadState(ThreadId T) const;
+  /// This OS thread's stat shard (a constant-initialized thread_local
+  /// picks it, so the hot path never runs a TLS initializer).
+  StatShard &stat() const;
+  /// Frees superseded variable-index arrays now if no reader section can
+  /// still hold one (a single non-blocking grace check); otherwise leaves
+  /// them to the collector's next completed grace period. Called by the
+  /// thread that grew an index, outside its epoch section.
+  void reclaimRetiredVarArrays();
+  /// Moves every shard's retired variable-index arrays onto
+  /// RetiredVarArrays. Requires GcRunMu.
+  void gatherRetiredVarArraysLocked();
   std::mutex &klFor(VarId V) const;
   void retainCell(Cell *C);
   void releaseCell(Cell *C);
   void dropInfo(Info &I);
+  /// Installs \p NI (Valid, Pos set) into \p Slot and retains its
+  /// position. Replacing a valid record leaves InfoCount as it is, and
+  /// replacing it at the same position leaves the cell's refcount as it
+  /// is: the common re-access writes no shared counter (DESIGN.md §19).
   void installInfo(Info &Slot, Info &&NI);
   /// Drops every read Info of \p St and recycles its ReadRec nodes.
   /// Requires St's KL stripe.
@@ -677,9 +721,13 @@ private:
   };
   mutable std::unique_ptr<KlStripe[]> KlStripes;
 
-  // Variable states, sharded to reduce map contention.
+  // Variable states: 64 shards, each a grow-only index probed lock-free
+  // (inserts and growth under the shard mutex).
   static constexpr unsigned NumShards = 64;
   std::unique_ptr<Shard[]> Shards;
+  /// Superseded variable-index arrays awaiting a completed grace period
+  /// (chained through Older). Guarded by GcRunMu.
+  VarIndex::Array *RetiredVarArrays = nullptr;
 
   // Slab arenas for the three hot-path record types (DESIGN.md §12).
   // Constructed in the .cpp (the pooled types are incomplete here);
@@ -688,10 +736,12 @@ private:
   std::unique_ptr<SlabArena> VarArena;  // VarState
   std::unique_ptr<SlabArena> ReadArena; // ReadRec
 
-  // Per-thread lock stacks for the alock short circuit. Lookups are
-  // shared; only a first-seen thread takes the exclusive path.
-  mutable std::shared_mutex ThreadsMu;
-  std::unordered_map<ThreadId, std::unique_ptr<ThreadState>> Threads;
+  // Per-thread states (lock stacks for the alock short circuit, pending
+  // anchors, batches, tier clocks). Lookups probe the index lock-free; only
+  // a first-seen thread takes ThreadsMu to insert. States (owned by the
+  // engine, deleted at teardown) and superseded arrays live until teardown.
+  std::mutex ThreadsMu;
+  ThreadIndex Threads;
 
   // Tier-0 epoch-order proof state (Tiered mode only, DESIGN.md §15):
   // per-channel clocks (locks and volatiles share the map — their packed
@@ -714,14 +764,17 @@ private:
   std::atomic<unsigned> DegLevel{0};    // highest ladder rung reached
   std::atomic<bool> GlobalDegraded{false};
 
-  // Statistics (relaxed atomics; snapshot via stats()).
+  // Statistics: GOLD_ENGINE_STATS counters in NumStatShards cache-line
+  // aligned shards; each OS thread adds to its own shard (stat()), and
+  // stats() sums the shards — exact once the adding threads are quiescent.
   //
   // Memory-ordering policy (audited for this file as a whole): every
-  // counter in AtomicStats and every governor gauge above is a *monotonic
-  // tally with no reader that derives control flow requiring ordering*, so
-  // all of their operations are explicitly memory_order_relaxed. The
-  // deliberate exceptions — the only non-relaxed atomics in the engine —
-  // are the ones the correctness arguments in DESIGN.md lean on:
+  // counter in the stat shards and every governor gauge above is a
+  // *monotonic tally with no reader that derives control flow requiring
+  // ordering*, so all of their operations are explicitly
+  // memory_order_relaxed. The deliberate exceptions — the only non-relaxed
+  // atomics in the engine — are the ones the correctness arguments in
+  // DESIGN.md lean on:
   //
   //  * Cell::Next linking CAS: release (publishes the cell's Seq/payload,
   //    and for a batch the whole pre-linked chain) / acquire on traversal.
@@ -741,8 +794,15 @@ private:
   //    recording past the latch), relaxed loads elsewhere.
   //  * ThreadState::PendingAnchor / Registered / Exited: acquire/release
   //    (anchor handoff between commitPoint and finishCommit).
-  struct AtomicStats;
-  std::unique_ptr<AtomicStats> S;
+  //  * GrowOnlyIndex slots (variable and thread indexes): release store on
+  //    insert / acquire on the lock-free probe, so a probe that finds an
+  //    entry sees its key and state fully built. The array pointer is
+  //    seq_cst (store on growth, load on probe): like Last, it must be
+  //    ordered against the epoch entry CAS, so a section entered after a
+  //    grace period's bump can only probe the current array and superseded
+  //    ones can be freed once that grace completes (DESIGN.md §19).
+  static constexpr unsigned NumStatShards = 16;
+  std::unique_ptr<StatShard[]> StatShards;
 
   // Observability (DESIGN.md §13). Tel exists at level >= Counters; Flight
   // and the histogram pointers only at Full — every hot-path recording

@@ -28,6 +28,26 @@
 
 namespace gold {
 
+/// The tier counters, the tail rows of the engine's stat table
+/// (GOLD_ENGINE_STATS in Engine.h), in artifact order:
+/// X(EngineStats field, "json_key"). Listed here because EngineHealth and
+/// the service's per-shard sums (ServiceHealth) carry them too; every copy,
+/// sum and serialization of them is generated from this one list.
+#define GOLD_ENGINE_TIER_STATS(X)                                             \
+  X(TierFiltered, "tier_filtered") /* pair checks skipped by tier 0 */        \
+  X(Escalations, "escalations")    /* variables escalated to precise */       \
+  X(SampledSkips, "sampled_skips") /* accesses skipped by sampling */
+
+/// A stat-table key as the one-line renders print it ("tier_filtered" ->
+/// "tier-filtered").
+inline std::string dashedStatKey(const char *Key) {
+  std::string Out(Key);
+  for (char &C : Out)
+    if (C == '_')
+      C = '-';
+  return Out;
+}
+
 /// Snapshot of the engine's resource state; obtained from
 /// GoldilocksEngine::health() (or RaceDetector::health() where supported).
 struct EngineHealth {
@@ -48,9 +68,9 @@ struct EngineHealth {
   size_t QuarantinedCells = 0;  ///< cells detached but deferred (stalled grace)
   uint64_t ReclaimedDeadSlots = 0; ///< epoch slots recycled from dead threads
   unsigned Tier = 0;            ///< TierMode (0 precise, 1 tiered, 2 sampling)
-  uint64_t TierFiltered = 0;    ///< accesses whose pair checks tier 0 skipped
-  uint64_t Escalations = 0;     ///< variables escalated to the precise tier
-  uint64_t SampledSkips = 0;    ///< accesses skipped by the sampling tier
+#define X(Field, Key) uint64_t Field = 0;
+  GOLD_ENGINE_TIER_STATS(X)
+#undef X
 
   /// One-line render for logs and the CLI. Built incrementally: the field
   /// set grows with the engine and a fixed buffer would silently truncate.
@@ -95,9 +115,9 @@ struct EngineHealth {
       std::snprintf(Buf, sizeof(Buf), " tier=%s",
                     Tier < 3 ? TierNames[Tier] : "?");
       Out += Buf;
-      Llu("tier-filtered", TierFiltered);
-      Llu("escalations", Escalations);
-      Llu("sampled-skips", SampledSkips);
+#define X(Field, Key) Llu(dashedStatKey(Key).c_str(), Field);
+      GOLD_ENGINE_TIER_STATS(X)
+#undef X
     }
     return Out;
   }
@@ -123,9 +143,9 @@ struct EngineHealth {
     J.kv("quarantined_cells", (uint64_t)QuarantinedCells);
     J.kv("reclaimed_dead_slots", ReclaimedDeadSlots);
     J.kv("tier", Tier);
-    J.kv("tier_filtered", TierFiltered);
-    J.kv("escalations", Escalations);
-    J.kv("sampled_skips", SampledSkips);
+#define X(Field, Key) J.kv(Key, Field);
+    GOLD_ENGINE_TIER_STATS(X)
+#undef X
   }
 
   /// Complete JSON object, e.g. for embedding under a "health" key.

@@ -475,9 +475,9 @@ std::string ServiceHealth::str() const {
     std::snprintf(Buf, sizeof(Buf), " tier=%s",
                   tierModeName(static_cast<TierMode>(Tier)));
     Out += Buf;
-    Add("tier-filtered", TierFiltered);
-    Add("escalations", Escalations);
-    Add("sampled-skips", SampledSkips);
+#define X(Field, Key) Add(dashedStatKey(Key).c_str(), Field);
+    GOLD_ENGINE_TIER_STATS(X)
+#undef X
   }
   std::snprintf(Buf, sizeof(Buf), " max-shard-level=%u%s",
                 MaxShardDegradation,
@@ -510,9 +510,9 @@ void ServiceHealth::jsonBody(JsonWriter &J) const {
   J.kv("dropped_pending_actions", DroppedPendingActions);
   J.kv("verdict_loss_events", VerdictLossEvents);
   J.kv("tier", Tier);
-  J.kv("tier_filtered", TierFiltered);
-  J.kv("escalations", Escalations);
-  J.kv("sampled_skips", SampledSkips);
+#define X(Field, Key) J.kv(Key, Field);
+  GOLD_ENGINE_TIER_STATS(X)
+#undef X
   J.kv("max_shard_degradation", MaxShardDegradation);
   J.kv("any_shard_globally_degraded", AnyShardGloballyDegraded);
   J.key("shard_health");
@@ -1152,9 +1152,9 @@ ServiceHealth DetectionService::health() const {
     if (EH.DegradationLevel > H.MaxShardDegradation)
       H.MaxShardDegradation = EH.DegradationLevel;
     H.AnyShardGloballyDegraded |= EH.GloballyDegraded;
-    H.TierFiltered += EH.TierFiltered;
-    H.Escalations += EH.Escalations;
-    H.SampledSkips += EH.SampledSkips;
+#define X(Field, Key) H.Field += EH.Field;
+    GOLD_ENGINE_TIER_STATS(X)
+#undef X
     H.ShardHealth.push_back(std::move(EH));
   }
   return H;
@@ -1179,9 +1179,9 @@ TelemetrySnapshot DetectionService::telemetry() const {
   Snap.addCounter("service.replayed_actions", H.ReplayedActions);
   Snap.addCounter("service.races_delivered", H.RacesDelivered);
   Snap.addCounter("service.verdict_loss_events", H.VerdictLossEvents);
-  Snap.addCounter("service.tier_filtered", H.TierFiltered);
-  Snap.addCounter("service.escalations", H.Escalations);
-  Snap.addCounter("service.sampled_skips", H.SampledSkips);
+#define X(Field, Key) Snap.addCounter("service." Key, H.Field);
+  GOLD_ENGINE_TIER_STATS(X)
+#undef X
   Snap.addCounter("service.idle_reaped",
                   C.IdleReaped.load(std::memory_order_relaxed));
   Snap.addCounter("service.wedge_requests",

@@ -357,9 +357,10 @@ struct ServiceHealth {
   /// reincarnation discards. Zero means the service is provably exact.
   uint64_t VerdictLossEvents = 0;
   unsigned Tier = 0;          ///< engine TierMode every shard runs (config)
-  uint64_t TierFiltered = 0;  ///< sum of shard tier-0 pair-check skips
-  uint64_t Escalations = 0;   ///< sum of shard variable escalations
-  uint64_t SampledSkips = 0;  ///< sum of shard sampling-tier access skips
+  /// Sums over the shards of the GOLD_ENGINE_TIER_STATS counters.
+#define X(Field, Key) uint64_t Field = 0;
+  GOLD_ENGINE_TIER_STATS(X)
+#undef X
   unsigned MaxShardDegradation = 0;
   bool AnyShardGloballyDegraded = false;
   std::vector<EngineHealth> ShardHealth;

@@ -26,6 +26,8 @@ const char *gold::failpointName(Failpoint F) {
     return "engine-deregister-drop";
   case Failpoint::EnginePublishStall:
     return "engine-publish-stall";
+  case Failpoint::EngineIndexProbeStall:
+    return "engine-index-probe-stall";
   case Failpoint::StmLockConflict:
     return "stm-lock-conflict";
   case Failpoint::StmLockDelay:

@@ -48,6 +48,9 @@ enum class Failpoint : unsigned {
   EnginePublishStall,  ///< the publisher parks between closing its epoch
                        ///< section after a batch publish and recording the
                        ///< publish instrumentation (the reclaim race window)
+  EngineIndexProbeStall,///< a lookup parks between loading a variable-index
+                        ///< array and probing it (the window in which a
+                        ///< concurrent growth supersedes that array)
   StmLockConflict,     ///< STM object-lock acquisition reports a conflict
   StmLockDelay,        ///< STM object-lock acquisition is delayed
   VmPreempt,           ///< VM thread yields at an instrumentation point

@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "DifferentialHarness.h"
+#include "support/Failpoints.h"
 
 #include <atomic>
 #include <mutex>
@@ -230,6 +231,177 @@ TEST(ConcurrencyTest, CommitAnchorsSurviveConcurrentGc) {
   EXPECT_GT(St.GcRuns, 0u) << "workload never exercised GC";
   EXPECT_EQ(E.health().DegradationLevel, 0u) << "no caps were set";
   checkEngineConsistency(E);
+}
+
+//===----------------------------------------------------------------------===//
+// The contention-free access path (DESIGN.md §19): sharded stats, the
+// lock-free thread and variable indexes
+//===----------------------------------------------------------------------===//
+
+/// Thread \p Tid's share of the stats workload: its own lock and private
+/// variables, so every counter it moves is independent of the interleaving
+/// (each pair check resolves by same-owner).
+void statsWorkload(GoldilocksEngine &E, ThreadId Tid, unsigned Iters) {
+  E.registerThread(Tid);
+  ObjectId Lock = 1000 + Tid;
+  for (unsigned I = 0; I != Iters; ++I) {
+    VarId V{2000 + Tid, I % 4};
+    E.onAcquire(Tid, Lock);
+    EXPECT_FALSE(E.onWrite(Tid, V));
+    EXPECT_FALSE(E.onRead(Tid, V));
+    E.onRelease(Tid, Lock);
+  }
+  E.deregisterThread(Tid);
+}
+
+// More OS threads than stat shards, so some threads share a shard. Once
+// they are joined, the shard sums must equal the totals of the same work
+// run on one OS thread, counter by counter (append_retries alone measures
+// contention, so only it may differ).
+TEST(ConcurrencyTest, StatShardsSumToSingleThreadedTotals) {
+  constexpr unsigned N = 20, Iters = 2000;
+  GoldilocksEngine Par, Seq;
+  std::vector<std::thread> Threads;
+  for (unsigned T = 1; T <= N; ++T)
+    Threads.emplace_back(statsWorkload, std::ref(Par), T, Iters);
+  for (std::thread &Th : Threads)
+    Th.join();
+  for (unsigned T = 1; T <= N; ++T)
+    statsWorkload(Seq, T, Iters);
+
+  EngineStats P = Par.stats(), S = Seq.stats();
+  EXPECT_EQ(P.Accesses, uint64_t(N) * Iters * 2);
+  EXPECT_EQ(P.SyncEvents, uint64_t(N) * Iters * 2);
+#define X(Field, Key)                                                         \
+  if (std::string(Key) != "append_retries") {                                 \
+    EXPECT_EQ(P.Field, S.Field) << Key;                                       \
+  }
+  GOLD_ENGINE_STATS(X)
+#undef X
+  // The health snapshot reads the same shards.
+  EXPECT_EQ(Par.health().DegradationEvents, P.DegradationEvents);
+}
+
+// The service's pump drives thousands of ThreadIds from one OS thread.
+// Phase 1 creates the states (growing the thread index many times) and
+// hands a shared variable from each thread to the next under one lock:
+// every check after the first resolves by the alock short circuit, which
+// reads the accessor's lock stack through the index. Phase 2 looks every
+// state up again after all that growth: each thread holds only its own
+// lock, so a write by the next thread to a variable it installed must race
+// — a lookup that returned another thread's state (or a stale copy) would
+// find the installer's lock held and hide the race.
+TEST(ConcurrencyTest, OneOsThreadDrivesTenThousandThreadIds) {
+  constexpr ThreadId N = 10000;
+  constexpr ObjectId Shared = 1, SharedLock = 2, OwnLockBase = 100000,
+                     OwnVarBase = 200000;
+  EngineConfig C;
+  C.EnableProvenance = false;
+  GoldilocksEngine E(C);
+  for (ThreadId T = 1; T <= N; ++T) {
+    E.onAcquire(T, SharedLock);
+    EXPECT_FALSE(E.onWrite(T, VarId{Shared, 0}));
+    E.onRelease(T, SharedLock);
+  }
+  EXPECT_EQ(E.stats().Sc3ALock, N - 1);
+
+  for (ThreadId T = 1; T <= N; ++T)
+    E.onAcquire(T, OwnLockBase + T);
+  for (ThreadId T = 1; T <= N; ++T)
+    EXPECT_FALSE(E.onWrite(T, VarId{OwnVarBase + T, 0}));
+  unsigned Races = 0;
+  for (ThreadId T = 1; T <= N; ++T)
+    Races += E.onWrite(T % N + 1, VarId{OwnVarBase + T, 0}).has_value();
+  EXPECT_EQ(Races, N);
+  EngineStats St = E.stats();
+  EXPECT_EQ(St.Sc3ALock, N - 1) << "a lookup saw a foreign lock stack";
+  EXPECT_EQ(St.Races, N);
+}
+
+// Inserter threads grow the variable index (every access is to a fresh
+// variable) while prober threads hit existing entries lock-free, and a
+// small GC threshold makes collections free superseded arrays meanwhile.
+// Every variable must map to exactly one state: the count of distinct
+// variables is exact, and each inserter's re-access finds its own record.
+TEST(ConcurrencyTest, VarIndexGrowsUnderConcurrentLookups) {
+  constexpr unsigned Inserters = 2, Probers = 2, Fresh = 4000,
+                     ProbeIters = 5000;
+  EngineConfig C;
+  C.GcThreshold = 1024;
+  GoldilocksEngine E(C);
+  std::atomic<unsigned> Running{Inserters};
+  std::vector<std::thread> Threads;
+  for (ThreadId T = 1; T <= Inserters; ++T)
+    Threads.emplace_back([&, T] {
+      for (unsigned I = 0; I != Fresh; ++I)
+        EXPECT_FALSE(E.onWrite(T, VarId{1000 + T, I}));
+      Running.fetch_sub(1);
+    });
+  for (ThreadId T = Inserters + 1; T <= Inserters + Probers; ++T)
+    Threads.emplace_back([&, T] {
+      // Sync events feed maybeCollect, so trims run during the growth.
+      for (unsigned I = 0; I < ProbeIters || Running.load() != 0; ++I) {
+        E.onAcquire(T, 500 + T);
+        EXPECT_FALSE(E.onWrite(T, VarId{2000 + T, I % 8}));
+        E.onRelease(T, 500 + T);
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  EXPECT_EQ(E.distinctVarsChecked(), Inserters * Fresh + Probers * 8);
+
+  EngineStats Before = E.stats();
+  for (ThreadId T = 1; T <= Inserters; ++T)
+    for (unsigned I = 0; I != Fresh; ++I)
+      EXPECT_FALSE(E.onRead(T, VarId{1000 + T, I}));
+  EngineStats After = E.stats();
+  EXPECT_EQ(After.Sc2SameThread - Before.Sc2SameThread,
+            uint64_t(Inserters) * Fresh)
+      << "a re-access did not find the inserter's write record";
+  EXPECT_EQ(E.distinctVarsChecked(), Inserters * Fresh + Probers * 8);
+  EXPECT_GT(After.GcRuns, 0u) << "no collection ran during the growth";
+  checkEngineConsistency(E);
+}
+
+// Probes park between loading a variable-index array and probing it while
+// inserts supersede that array. The growing thread's reclaim must see the
+// parked section and leave the array alone (under ASan, freeing it is a
+// use-after-free when the probe resumes). No sync events, so no collection
+// runs: only the growers' non-blocking reclaim and teardown free arrays.
+TEST(ConcurrencyTest, ParkedIndexProbesKeepSupersededArraysAlive) {
+  constexpr unsigned Inserters = 2, Probers = 2, Fresh = 8000,
+                     ProbeVars = 256; // spread over every shard
+  GoldilocksEngine E;
+  for (ThreadId T = Inserters + 1; T <= Inserters + Probers; ++T)
+    for (unsigned I = 0; I != ProbeVars; ++I)
+      EXPECT_FALSE(E.onWrite(T, VarId{3000 + T, I}));
+
+  FailpointConfig FC;
+  FC.Seed = 0x1DE;
+  FC.StallMicros = 500;
+  FC.rate(Failpoint::EngineIndexProbeStall, 20000); // 2% of probes park
+  {
+    FailpointScope Scope(FC);
+    std::atomic<unsigned> Running{Inserters};
+    std::vector<std::thread> Threads;
+    for (ThreadId T = 1; T <= Inserters; ++T)
+      Threads.emplace_back([&, T] {
+        for (unsigned I = 0; I != Fresh; ++I)
+          EXPECT_FALSE(E.onWrite(T, VarId{1000 + T, I}));
+        Running.fetch_sub(1);
+      });
+    for (ThreadId T = Inserters + 1; T <= Inserters + Probers; ++T)
+      Threads.emplace_back([&, T] {
+        for (unsigned I = 0; Running.load() != 0; ++I)
+          EXPECT_FALSE(E.onRead(T, VarId{3000 + T, I % ProbeVars}));
+      });
+    for (std::thread &Th : Threads)
+      Th.join();
+    EXPECT_GT(Failpoints::instance().fires(Failpoint::EngineIndexProbeStall),
+              0u);
+  }
+  EXPECT_EQ(E.distinctVarsChecked(), Inserters * Fresh + Probers * ProbeVars);
+  EXPECT_EQ(E.stats().Races, 0u);
 }
 
 } // namespace

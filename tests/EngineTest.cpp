@@ -402,3 +402,52 @@ TEST(EngineTest, GcHighWaterAndHealthAgree) {
   EXPECT_EQ(H.DegradationLevel, 0u);
   EXPECT_EQ(H.ForcedGcs, 0u);
 }
+
+// Re-installing a record at the position it already retains skips the
+// retain/release pair, and replacing a valid record skips the Info count
+// pair (DESIGN.md §19). Mix same-position re-accesses with position moves,
+// a second thread and forced collections; afterwards every record is
+// dropped, so a leaked retain would pin cells and an extra release would
+// underflow (asserted in releaseCell).
+TEST(EngineTest, SamePositionReinstallsKeepCellsAndInfosBalanced) {
+  EngineConfig C;
+  C.GcThreshold = 0; // collections only where this test forces them
+  GoldilocksEngine E(C);
+  constexpr ObjectId Obj1 = 1, Obj2 = 2, Lock = 3;
+  for (unsigned Round = 0; Round != 50; ++Round) {
+    for (unsigned I = 0; I != 20; ++I) { // same position throughout
+      EXPECT_FALSE(E.onWrite(1, VarId{Obj1, 0}));
+      EXPECT_FALSE(E.onRead(1, VarId{Obj1, 0}));
+      EXPECT_FALSE(E.onRead(1, VarId{Obj1, 1}));
+      EXPECT_FALSE(E.onRead(2, VarId{Obj2, 0}));
+    }
+    // Obj1.f0: write + read; Obj1.f1: thread 1's read (plus, from round
+    // 1 on, the write and thread 2's read below); Obj2.f0: one read.
+    EXPECT_EQ(E.infoRecordCount(), Round == 0 ? 4u : 6u)
+        << "replacement changed the count";
+    E.onAcquire(1, Lock); // moves Last: the next installs retain anew
+    EXPECT_FALSE(E.onWrite(1, VarId{Obj1, 1}));
+    E.onRelease(1, Lock);
+    E.onAcquire(2, Lock);
+    EXPECT_FALSE(E.onRead(2, VarId{Obj1, 1})); // second reader record
+    E.onRelease(2, Lock);
+    if (Round % 10 == 9)
+      E.collectGarbage();
+  }
+  EngineStats St = E.stats();
+  EXPECT_EQ(St.Races, 0u);
+  EXPECT_EQ(E.infoRecordCount(), 5u);
+  EXPECT_EQ(E.health().InfoHighWater, 6u);
+
+  // Rule 8 drops every record; then nothing may pin the list except its
+  // tail, and the books must balance.
+  E.onAlloc(1, Obj1, 2);
+  E.onAlloc(2, Obj2, 1);
+  EXPECT_EQ(E.infoRecordCount(), 0u);
+  E.collectGarbage();
+  EXPECT_TRUE(E.quiesce());
+  St = E.stats();
+  EXPECT_EQ(E.eventListLength(), 1u) << "a cell reference leaked";
+  EXPECT_EQ(E.eventListLength() + E.health().QuarantinedCells,
+            1 + St.CellsAllocated - St.CellsFreed);
+}
