@@ -132,11 +132,15 @@ size_t ShmServer::pollOnce(int TimeoutMs) {
     RingState S =
         static_cast<RingState>(R->State.load(std::memory_order_acquire));
 
-    // Track per-ring liveness: a heartbeat (or any state change) counts as
-    // activity; everything stale beyond WedgeTimeoutNanos is reaped.
+    // Track per-ring liveness: a heartbeat or a state change counts as
+    // activity; everything stale beyond WedgeTimeoutNanos is reaped. The
+    // state change matters for a fresh claim: the claimant CASes Free ->
+    // Claimed before its first heartbeat, and a ring that sat Free past the
+    // timeout must not read as a stale claim in that window.
     uint64_t Beat = R->Heartbeat.load(std::memory_order_relaxed);
-    if (Beat != W.LastBeat || W.LastBeatNanos == 0) {
+    if (Beat != W.LastBeat || S != W.LastState || W.LastBeatNanos == 0) {
       W.LastBeat = Beat;
+      W.LastState = S;
       W.LastBeatNanos = Now;
     }
     bool Stale = Cfg.WedgeTimeoutNanos != 0 &&

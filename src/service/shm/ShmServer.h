@@ -157,7 +157,8 @@ private:
     uint64_t Pos = 0;           ///< next slot position to consume
     uint64_t ClientId = 0;      ///< owner while Ready..Closed
     uint64_t LastBeat = 0;      ///< heartbeat value last seen
-    uint64_t LastBeatNanos = 0; ///< when it last changed (service clock)
+    RingState LastState = RingState::Free; ///< ring state last seen
+    uint64_t LastBeatNanos = 0; ///< when either last changed (service clock)
     uint64_t NotBefore = 0;     ///< backpressure gate for this ring
   };
 

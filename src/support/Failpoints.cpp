@@ -24,8 +24,6 @@ const char *gold::failpointName(Failpoint F) {
     return "engine-retain-stall";
   case Failpoint::EngineDeregisterDrop:
     return "engine-deregister-drop";
-  case Failpoint::EnginePublishStall:
-    return "engine-publish-stall";
   case Failpoint::EngineIndexProbeStall:
     return "engine-index-probe-stall";
   case Failpoint::StmLockConflict:

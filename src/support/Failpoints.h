@@ -45,9 +45,6 @@ enum class Failpoint : unsigned {
   EngineRetainStall,   ///< a reader parks between loading its position from
                        ///< Last and retaining it (the grace TOCTOU window)
   EngineDeregisterDrop,///< a thread exits without deregistering its slot
-  EnginePublishStall,  ///< the publisher parks between closing its epoch
-                       ///< section after a batch publish and recording the
-                       ///< publish instrumentation (the reclaim race window)
   EngineIndexProbeStall,///< a lookup parks between loading a variable-index
                         ///< array and probing it (the window in which a
                         ///< concurrent growth supersedes that array)

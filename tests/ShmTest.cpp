@@ -589,6 +589,52 @@ TEST(ShmTest, StalledProducerIsWedgeReapedAndResumesWithoutDivergence) {
   EXPECT_GE(CSt.Reconnects, 1u);
 }
 
+TEST(ShmTest, FreshClaimOnLongFreeRingIsNotWedgeSanitized) {
+  // A ring that sat Free past the wedge timeout is claimed (Free ->
+  // Claimed) and the server polls before the claimant's first heartbeat.
+  // The state change is activity: the claim must survive that poll and be
+  // served once the heartbeat lands, not be recycled as a stale claim.
+  SegPath P("freshclaim");
+  DetectionService Svc;
+  ShmConfig C;
+  C.Path = P.Path;
+  C.Rings = 1;
+  C.WedgeTimeoutNanos = 5ull * 1000000; // 5ms
+  ShmServer Shm(Svc, C);
+  std::string Err;
+  ASSERT_TRUE(Shm.start(Err)) << Err;
+  MappedSeg M;
+  ASSERT_TRUE(M.map(P.Path));
+  ShmRingHdr *R = M.Seg.ring(0);
+
+  Shm.pollOnce(); // liveness baseline: Free, heartbeat 0
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Shm.pollOnce(); // still Free, now idle well past the wedge timeout
+
+  uint32_t Exp = static_cast<uint32_t>(RingState::Free);
+  ASSERT_TRUE(R->State.compare_exchange_strong(
+      Exp, static_cast<uint32_t>(RingState::Claimed),
+      std::memory_order_acq_rel));
+  R->ClientId.store(9, std::memory_order_release);
+  R->ClientPid.store(uint32_t(::getpid()), std::memory_order_release);
+  R->Priority.store(1, std::memory_order_release);
+  Shm.pollOnce(); // identity incomplete: no heartbeat yet
+  EXPECT_EQ(R->State.load(std::memory_order_acquire),
+            static_cast<uint32_t>(RingState::Claimed))
+      << "a live claim was sanitized as stale";
+  EXPECT_EQ(Shm.stats().RingsRecycled, 0u);
+
+  R->Heartbeat.store(1, std::memory_order_release);
+  Shm.pollOnce();
+  EXPECT_EQ(R->State.load(std::memory_order_acquire),
+            static_cast<uint32_t>(RingState::Ready))
+      << "the claim was not served after its heartbeat";
+  EXPECT_EQ(Shm.stats().OpensRefused, 0u);
+
+  Shm.drainAndStop();
+  Svc.shutdown();
+}
+
 TEST(ShmTest, CorruptSlotKillsSessionCrashOnlyAndIsCounted) {
   // shm-slot-corrupt scribbles the op byte before publication; the server
   // must kill the session (silent frame-skipping would be an unaccounted

@@ -11,10 +11,10 @@
 ///    through the global free list, magazine survival across arena death);
 ///
 ///  * a single-process differential sweep: seeded random traces replayed
-///    under every {slab pooling} x {append batching} configuration with a
-///    tiny GC threshold, so cells are freed and recycled hundreds of times
-///    per run — every configuration must report exactly the reference
-///    detector's verdicts and keep the cell accounting identity;
+///    with slab pooling on and off (passthrough) and a tiny GC threshold,
+///    so cells are freed and recycled hundreds of times per run — both
+///    configurations must report exactly the reference detector's
+///    verdicts and keep the cell accounting identity;
 ///
 ///  * a true multi-threaded stress with parked readers: EngineReaderPark /
 ///    EngineRetainStall failpoints hold epoch read sections open past a
@@ -36,7 +36,6 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -152,7 +151,7 @@ TEST(SlabArenaTest, MagazinesSurviveArenaDeathByGeneration) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential sweep across allocator/batching configurations
+// Differential sweep across allocator configurations
 //===----------------------------------------------------------------------===//
 
 RandomTraceParams slabParams(uint64_t Seed) {
@@ -182,16 +181,13 @@ TEST(SlabDifferentialTest, AllConfigsMatchReferenceUnderHeavyRecycling) {
   struct Config {
     const char *Name;
     bool Pooling;
-    unsigned Batch;
   };
   const Config Configs[] = {
-      {"pooled+batch", true, 8},
-      {"pooled", true, 1},
-      {"passthrough+batch", false, 8},
-      {"passthrough", false, 1},
+      {"pooled", true},
+      {"passthrough", false},
   };
 
-  uint64_t TotalFreed = 0, TotalBatched = 0;
+  uint64_t TotalFreed = 0;
   for (uint64_t Seed = 0; Seed != 24; ++Seed) {
     Trace T = generateRandomTrace(slabParams(Seed));
     std::set<VarId> Reference =
@@ -202,22 +198,17 @@ TEST(SlabDifferentialTest, AllConfigsMatchReferenceUnderHeavyRecycling) {
       EngineConfig EC;
       EC.GcThreshold = 32; // churn: free and recycle cells constantly
       EC.EnableSlabPooling = C.Pooling;
-      EC.AppendBatchSize = C.Batch;
       GoldilocksDetector D(EC);
       std::set<VarId> Got = racyVarSet(D.runTrace(T));
       EXPECT_EQ(Got, Reference);
       checkCellAccounting(D.engine());
 
-      EngineStats St = D.engine().stats();
-      TotalFreed += St.CellsFreed;
-      if (C.Batch > 1)
-        TotalBatched += St.BatchPublishes;
+      TotalFreed += D.engine().stats().CellsFreed;
     }
   }
-  // The sweep must actually exercise recycling and batch publication,
-  // otherwise the equalities above prove nothing about them.
+  // The sweep must actually exercise recycling, otherwise the equalities
+  // above prove nothing about it.
   EXPECT_GT(TotalFreed, 0u) << "GC never freed a cell";
-  EXPECT_GT(TotalBatched, 0u) << "no batch was ever published";
 }
 
 //===----------------------------------------------------------------------===//
@@ -273,9 +264,8 @@ struct StressHarness {
 /// force retired chains through the quarantine while the slab keeps
 /// recycling — under ASan a premature reuse of a held cell is a poisoned
 /// access, under TSan an unordered one.
-void runQuarantineStress(bool Pooling, unsigned Batch) {
-  SCOPED_TRACE(testing::Message()
-               << "pooling=" << Pooling << " batch=" << Batch);
+void runQuarantineStress(bool Pooling) {
+  SCOPED_TRACE(testing::Message() << "pooling=" << Pooling);
   constexpr unsigned NumThreads = 4;
   constexpr unsigned Iters = 300;
   constexpr ObjectId LockBase = 100; // + tid
@@ -286,11 +276,9 @@ void runQuarantineStress(bool Pooling, unsigned Batch) {
   C.GcThreshold = 128;          // constant reclamation pressure
   C.GraceDeadlineMicros = 1000; // parked readers blow this deadline
   C.EnableSlabPooling = Pooling;
-  C.AppendBatchSize = Batch;
-  // Full telemetry plus an attached trace sink: the instrumentation after a
-  // batch publish reads from the just-published chain while a concurrent
-  // collection may already be reclaiming it, so the recording paths must
-  // run under this stress (ASan/TSan guard the regression).
+  // Full telemetry plus an attached trace sink: the recording paths run
+  // while concurrent collections reclaim cells, so they must run under this
+  // stress (ASan/TSan guard any read of a reclaimed cell).
   C.Telemetry = TelemetryLevel::Full;
   TraceEventSink Sink;
 
@@ -313,11 +301,7 @@ void runQuarantineStress(bool Pooling, unsigned Batch) {
   FC.Seed = 0x9A7E;
   FC.StallMicros = 2000; // 2ms parks >> 1ms grace deadline
   FC.rate(Failpoint::EngineReaderPark, 3000)   // 0.3% of read sections
-      .rate(Failpoint::EngineRetainStall, 3000) // TOCTOU window holds
-      // Park publishers between epoch exit and the post-publish
-      // instrumentation so concurrent reclamation can overtake the batch:
-      // the recording paths must not touch the published chain.
-      .rate(Failpoint::EnginePublishStall, 200000);
+      .rate(Failpoint::EngineRetainStall, 3000); // TOCTOU window holds
 
   auto Worker = [&](ThreadId Tid) {
     VarId Racy{RacyObj, 0};
@@ -393,79 +377,14 @@ void runQuarantineStress(bool Pooling, unsigned Batch) {
   // The sink must have seen the instrumented phases, or the telemetry
   // recording paths were never stressed at all.
   EXPECT_GT(Sink.size(), 0u) << "trace sink recorded nothing";
-  if (Batch > 1) {
-    EXPECT_GT(St.BatchPublishes, 0u);
-    EXPECT_NE(Sink.json().find("\"publish\""), std::string::npos)
-        << "no publish span was ever recorded";
-  }
 }
 
-/// Deterministic replay of the post-publish reclaim race: the publisher
-/// parks (engine-publish-stall failpoint) between closing its epoch section
-/// and recording the publish span / flight-recorder entry, while the main
-/// thread drives enough collections to free the just-published batch. The
-/// instrumentation must read nothing from the published chain — under ASan
-/// a violation is a heap-use-after-free, under TSan an unordered access.
-TEST(SlabQuarantineStressTest, PublishInstrumentationSurvivesReclaim) {
-  constexpr unsigned Batch = 8;
-
-  EngineConfig C;
-  C.GcThreshold = Batch;      // collect on nearly every enqueue
-  C.EnableSlabPooling = false; // freed cells return to the heap (ASan UAF)
-  C.AppendBatchSize = Batch;
-  C.Telemetry = TelemetryLevel::Full; // flight recorder attached
-  TraceEventSink Sink;
-
-  GoldilocksDetector D(C);
-  D.engine().attachTraceSink(&Sink);
-
-  FailpointConfig FC;
-  FC.StallMicros = 50000; // 50ms park: the GC driver below needs ~µs
-  FC.rate(Failpoint::EnginePublishStall, 1000000);
-  FailpointScope Scope(FC);
-
-  D.onFork(0, 1);
-  size_t Before = D.engine().eventListLength();
-  std::thread Publisher([&] {
-    // Acquires are batchable: the Batch'th one publishes the whole chain
-    // and parks at the failpoint with the instrumentation still pending.
-    for (unsigned I = 0; I != Batch; ++I)
-      D.onAcquire(1, /*Lock=*/500 + I);
-  });
-
-  // Wait until the batch is appended (ListLen moves before the park), then
-  // drive collections past it: the acquire cells carry no Info references,
-  // so the trimmed prefix swallows the parked publisher's chain.
-  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (D.engine().eventListLength() < Before + Batch &&
-         std::chrono::steady_clock::now() < Deadline)
-    std::this_thread::yield();
-  EXPECT_GE(D.engine().eventListLength(), Before + Batch)
-      << "batch was never published";
-  for (unsigned I = 0; I != 4 * Batch; ++I)
-    D.onVolatileWrite(0, VarId{900, 0});
-  EXPECT_GT(D.engine().stats().CellsFreed, 0u)
-      << "collections never freed the published chain";
-
-  Publisher.join();
-  D.onJoin(0, 1);
-  D.onTerminate(1);
-  D.onTerminate(0);
-  checkCellAccounting(D.engine());
-  EXPECT_NE(Sink.json().find("\"publish\""), std::string::npos)
-      << "no publish span was recorded";
+TEST(SlabQuarantineStressTest, Pooled) {
+  runQuarantineStress(/*Pooling=*/true);
 }
 
-TEST(SlabQuarantineStressTest, PooledWithBatching) {
-  runQuarantineStress(/*Pooling=*/true, /*Batch=*/8);
-}
-
-TEST(SlabQuarantineStressTest, PooledNoBatching) {
-  runQuarantineStress(/*Pooling=*/true, /*Batch=*/1);
-}
-
-TEST(SlabQuarantineStressTest, PassthroughWithBatching) {
-  runQuarantineStress(/*Pooling=*/false, /*Batch=*/8);
+TEST(SlabQuarantineStressTest, Passthrough) {
+  runQuarantineStress(/*Pooling=*/false);
 }
 
 } // namespace
